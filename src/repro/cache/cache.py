@@ -6,9 +6,11 @@ routes every expression evaluation through it.  The levels:
 
 1. **Plan level** — keyed on the raw expression tree (structural
    equality, so re-building the same fluent query hits).  An entry
-   holds the optimizer normal form, its canonical fingerprint, the
-   read set of base relations, and the physical plan per execution
-   strategy.  A hit skips the optimizer and the planner.
+   holds the optimizer normal form, its canonical fingerprint, and the
+   read set of base relations.  A hit skips the optimizer; entries are
+   engine-agnostic, because planning a normal form is cheap next to
+   optimizing it (the vector engine's kernel code is memoized by shape,
+   see :mod:`repro.expressions.compile`).
 2. **Result level** — keyed on the fingerprint of the *normal form*,
    so syntactically different but equivalent queries (Theorems
    3.1–3.3) share one entry.  Each entry carries the per-relation
@@ -36,23 +38,17 @@ counters) while observability is enabled.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.algebra import AlgebraExpr
 from repro.cache.fingerprint import base_relations, fingerprint
 from repro.engine.evaluator import evaluate as reference_evaluate
-from repro.engine.planner import (
-    execute as physical_execute,
-    plan_physical,
-)
+from repro.engine.planner import execute as physical_execute
 from repro import obs
 from repro.obs.telemetry import account as _active_account
 from repro.relation import Relation
 
 __all__ = ["QueryCache", "CacheStats", "CachedResult"]
-
-#: Physical plans kept per plan entry (one per distinct scheduler seen).
-_MAX_PLANS_PER_ENTRY = 4
 
 
 def estimate_bytes(relation: Relation) -> int:
@@ -106,31 +102,14 @@ class CacheStats:
 
 
 class _PlanEntry:
-    """Normal form + fingerprint + read set + physical plans for one tree."""
+    """Normal form + fingerprint + read set for one tree."""
 
-    __slots__ = ("normalized", "fingerprint", "deps", "plans")
+    __slots__ = ("normalized", "fingerprint", "deps")
 
     def __init__(self, normalized: AlgebraExpr) -> None:
         self.normalized = normalized
         self.fingerprint = fingerprint(normalized)
         self.deps = base_relations(normalized)
-        #: ``((scheduler-or-None, engine), physical plan)`` pairs,
-        #: identity-keyed on the scheduler — a plan embeds its scheduler
-        #: and its operator family, so it is only reusable with both.
-        self.plans: List[Tuple[Tuple[Optional[Any], str], Any]] = []
-
-    def plan_for(self, scheduler: Optional[Any], engine: str) -> Optional[Any]:
-        for (owner, owner_engine), plan in self.plans:
-            if owner is scheduler and owner_engine == engine:
-                return plan
-        return None
-
-    def store_plan(
-        self, scheduler: Optional[Any], engine: str, plan: Any
-    ) -> None:
-        self.plans.append(((scheduler, engine), plan))
-        if len(self.plans) > _MAX_PLANS_PER_ENTRY:
-            self.plans.pop(0)
 
 
 class CachedResult:
@@ -285,18 +264,11 @@ class QueryCache:
         env = context.environment()
         if not context.use_physical_engine:
             return reference_evaluate(entry.normalized, env)
-        scheduler = context.parallel
-        engine = getattr(context, "engine", "pairs")
-        physical = entry.plan_for(scheduler, engine)
-        if physical is None:
-            physical = plan_physical(entry.normalized, scheduler, engine)
-            entry.store_plan(scheduler, engine, physical)
         return physical_execute(
             entry.normalized,
             env,
-            parallel=scheduler,
-            physical=physical,
-            engine=engine,
+            parallel=context.parallel,
+            engine=getattr(context, "engine", "pairs"),
         )
 
     # -- result storage ---------------------------------------------------

@@ -659,9 +659,9 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--engine",
         choices=("reference", "pairs", "vector"),
-        default="reference",
-        help="evaluation strategy: the reference evaluator or the "
-        "physical pairs/vector engines",
+        default="vector",
+        help="evaluation strategy (default vector): the physical "
+        "vector/pairs engines, or the reference evaluator as an oracle",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -735,11 +735,11 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     async def _runner() -> None:
         host, port = await server.start()
         print(f"repro server listening on {host}:{port} "
-              f"(ctrl-c to drain and stop)")
+              f"(ctrl-c to drain and stop)", flush=True)
         if server.telemetry_address is not None:
             admin_host, admin_port = server.telemetry_address
             print(f"telemetry admin plane on "
-                  f"http://{admin_host}:{admin_port}/metrics")
+                  f"http://{admin_host}:{admin_port}/metrics", flush=True)
         try:
             await server.serve_forever()
         except asyncio.CancelledError:

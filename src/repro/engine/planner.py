@@ -268,7 +268,6 @@ def execute(
     expr: AlgebraExpr,
     env: dict[str, Relation],
     parallel: Optional[Any] = None,
-    physical: Optional[PhysicalOp] = None,
     engine: str = "pairs",
 ) -> Relation:
     """Plan and run ``expr`` on the physical engine.
@@ -276,10 +275,6 @@ def execute(
     ``parallel`` optionally carries a
     :class:`repro.engine.parallel.FragmentScheduler`; the plan is then
     rewritten into fragment-parallel form (see :func:`plan`).
-    ``physical`` optionally supplies a previously planned operator tree
-    for exactly this expression/scheduler/engine triple — the plan cache
-    (:mod:`repro.cache`) uses it to skip re-planning on repeated
-    queries; the planning stage is then a no-op.
     ``engine`` selects the operator family: ``"pairs"`` streams
     ``(row, count)`` pairs, ``"vector"`` runs the columnar batch
     operators with compiled expression kernels
@@ -292,17 +287,12 @@ def execute(
     (the default), this is the bare plan-and-collect path.
     """
     if not obs.enabled():
-        if physical is None:
-            physical = plan_physical(expr, parallel, engine)
-        return _collect_result(physical, env)
+        return _collect_result(plan_physical(expr, parallel, engine), env)
 
     from repro.engine.profiler import ProfileReport, profile_plan
 
     with obs.span("plan") as plan_span:
-        if physical is None:
-            physical = plan_physical(expr, parallel, engine)
-        else:
-            plan_span.set(cached=True)
+        physical = plan_physical(expr, parallel, engine)
         plan_span.set(shape=physical.explain())
         if parallel is not None:
             plan_span.set(parallel_workers=parallel.workers)

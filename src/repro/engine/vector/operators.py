@@ -36,6 +36,7 @@ from repro.engine.vector.batch import (
 from repro.errors import UnboundAttributeError, UnknownRelationError
 from repro.expressions import AttrRef, ScalarExpr
 from repro.expressions.compile import (
+    _materialize,
     compile_filter_kernel,
     compile_filter_kernel_rows,
     compile_key_kernel,
@@ -588,13 +589,7 @@ def _compile_probe(
         emit = fused_emit if fused_emit is not None else "_l + _r2"
         lines.append(f"            _pr({emit})\n")
         lines.append("            _pc(_c * _c2)\n")
-    source = "".join(lines)
-    scope: Dict[str, Any] = {}
-    code = compile(source, "<repro.engine.vector.operators>", "exec")
-    exec(code, scope)  # noqa: S102 - source is generated above, not user input
-    probe = scope["_probe"]
-    probe.__compiled_source__ = source
-    return probe
+    return _materialize("".join(lines), {}, "_probe")
 
 
 class VHashJoinOp(VectorOp):
@@ -852,12 +847,7 @@ def _compile_group_accumulator(
         "    for _r, _c in zip(_rows, _counts):\n"
         f"{body}"
     )
-    scope: Dict[str, Any] = {}
-    code = compile(source, "<repro.engine.vector.operators>", "exec")
-    exec(code, scope)  # noqa: S102 - source is generated above, not user input
-    accumulator = scope["_acc"]
-    accumulator.__compiled_source__ = source
-    return accumulator
+    return _materialize(source, {}, "_acc")
 
 
 class VGroupByOp(VectorOp):

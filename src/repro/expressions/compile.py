@@ -29,6 +29,18 @@ keeps whichever representation it was built from, so operators pick the
 kernel matching the cached layout and never force a transpose just to
 evaluate an expression.
 
+Constants are lifted, code is shape-keyed
+-----------------------------------------
+
+Every :class:`~repro.expressions.ast.Const` becomes a name in the
+kernel's namespace rather than a literal in its source, so the generated
+source depends only on the expression's shape, its attribute positions
+and its layout.  :func:`_materialize` therefore finds the code object of
+a query that differs from an earlier one only in its constants in a
+bounded, thread-safe memo (:data:`CODE_MEMO_SIZE` sources) and skips
+:func:`compile`; it still executes that code in a fresh scope holding
+*this* query's constants, so kernels never share constants.
+
 What cannot be lowered — and why the fallback is exact
 ------------------------------------------------------
 
@@ -47,7 +59,7 @@ out-of-range attribute access is re-routed to
 
 from __future__ import annotations
 
-import math
+from functools import lru_cache
 from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -67,6 +79,7 @@ from repro.schema import RelationSchema
 from repro.tuples import Row
 
 __all__ = [
+    "CODE_MEMO_SIZE",
     "CannotLower",
     "Lowered",
     "try_lower",
@@ -121,8 +134,8 @@ _BASE_NAMESPACE: Dict[str, Any] = {
 
 _COMPARE_SYMBOLS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-#: Python literal types whose ``repr`` round-trips exactly.
-_LITERAL_TYPES = (bool, int, float, str)
+#: Generated sources whose code objects :func:`_materialize` keeps.
+CODE_MEMO_SIZE = 512
 
 
 class _Lowerer:
@@ -151,12 +164,7 @@ class _Lowerer:
 
     def lower(self, expr: ScalarExpr) -> str:
         if isinstance(expr, Const):
-            value = expr.value
-            if type(value) in _LITERAL_TYPES:
-                if type(value) is float and not math.isfinite(value):
-                    return self.constant(value)
-                return f"({value!r})"
-            return self.constant(value)
+            return self.constant(expr.value)
         if isinstance(expr, AttrRef):
             index = self.schema.resolve(expr.ref) - 1
             self.refs.add(index)
@@ -202,7 +210,7 @@ def try_lower(
     Type errors (:class:`~repro.errors.ExpressionTypeError`) and
     unresolvable attributes propagate, exactly as ``bind`` would raise
     them; only *supported-but-uncompilable* shapes return ``None``.
-    ``prefix`` namespaces embedded constants so fragments from several
+    ``prefix`` namespaces lifted constants so fragments from several
     expressions can share one generated function.
     """
     lowerer = _Lowerer(schema, ref_template, prefix)
@@ -213,12 +221,23 @@ def try_lower(
     return Lowered(source, frozenset(lowerer.refs), lowerer.namespace)
 
 
-def _materialize(source: str, namespace: Dict[str, Any], name: str) -> Callable:
-    """Compile generated source and pull out the defined function."""
+@lru_cache(maxsize=CODE_MEMO_SIZE)
+def _code_for(source: str) -> Any:
+    """The code object of one generated source (memoized by its text)."""
+    return compile(source, "<repro.expressions.compile>", "exec")
+
+
+def _materialize(
+    source: str, namespace: Dict[str, Any], name: str
+) -> Callable:
+    """Run generated source in a fresh scope and pull out ``name``.
+
+    The code object comes from the shape-keyed memo; the scope holds
+    ``namespace`` (this kernel's constants) on top of the base helpers.
+    """
     scope: Dict[str, Any] = dict(_BASE_NAMESPACE)
     scope.update(namespace)
-    code = compile(source, "<repro.expressions.compile>", "exec")
-    exec(code, scope)  # noqa: S102 - source is generated above, not user input
+    exec(_code_for(source), scope)  # noqa: S102 - source is generated, not user input
     fn = scope[name]
     fn.__compiled_source__ = source
     return fn

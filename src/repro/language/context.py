@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional
 
-from repro.algebra import AlgebraExpr
+from repro.algebra import AlgebraExpr, LiteralRelation
 from repro.engine import StatisticsCatalog, evaluate, execute
 from repro.errors import DuplicateRelationError, UnknownRelationError
 from repro.relation import Relation
@@ -142,6 +142,10 @@ class ExecutionContext:
         return result
 
     def _evaluate_direct(self, expr: AlgebraExpr) -> Relation:
+        if isinstance(expr, LiteralRelation):
+            # A constant needs no optimizer, plan, or cache entry (it
+            # reads nothing, so a cached copy would never be invalidated).
+            return expr.relation
         if self.cache is not None:
             return self.cache.evaluate(expr, self)
         if self._optimizer is not None:

@@ -90,7 +90,7 @@ class ServerConfig:
         admission_timeout: float = 5.0,
         query_timeout: float = 30.0,
         drain_timeout: float = 10.0,
-        engine: str = "reference",
+        engine: str = "vector",
         optimize: bool = True,
         cache: Any = True,
         lint: Optional[str] = None,
@@ -124,7 +124,8 @@ class ServerConfig:
         self.query_timeout = query_timeout
         #: Seconds shutdown waits for in-flight requests.
         self.drain_timeout = drain_timeout
-        #: ``"reference"`` evaluator, or physical ``"pairs"``/``"vector"``.
+        #: Physical ``"vector"`` (default) or ``"pairs"`` engine, or the
+        #: ``"reference"`` evaluator (the oracle mode).
         self.engine = engine
         #: Run the algebraic optimizer before evaluation.
         self.optimize = optimize

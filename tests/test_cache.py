@@ -177,9 +177,23 @@ class TestQueryCache:
         assert cache.stats.result_hits == 1
         session.query(on_t1)  # t1 moved on: recomputed
         assert cache.stats.invalidations == 1
-        # Four misses: the two first-time queries, the insert's literal
-        # source expression, and the recomputation of on_t1.
-        assert cache.stats.result_misses == 4
+        # Three misses: the two first-time queries and the recomputation
+        # of on_t1.  The insert's literal source never reaches the cache.
+        assert cache.stats.result_misses == 3
+
+    def test_literal_inserts_leave_both_cache_levels_unchanged(self, env):
+        database = make_database(env)
+        cache = QueryCache()
+        session = Session(database, cache=cache)
+        session.query(session.relation("t1").select("%1 > 0"))
+        plans, results = cache.plan_entries, len(cache)
+        lookups = cache.stats.as_dict()
+        for seed in range(50):
+            session.insert(
+                "t3", LiteralRelation(random_int_relation(2, seed=100 + seed))
+            )
+        assert (cache.plan_entries, len(cache)) == (plans, results)
+        assert cache.stats.as_dict() == lookups
 
     def test_temporaries_bypass_the_result_cache(self, env):
         database = make_database(env)

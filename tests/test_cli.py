@@ -1,9 +1,12 @@
 """Tests for the command-line shell (in-process and via subprocess)."""
 
 import io
+import os
+import re
+import signal
 import subprocess
 import sys
-
+import threading
 
 from repro.cli import Shell
 from repro.workloads import tiny_beer_database
@@ -151,6 +154,41 @@ class TestSubprocessEntryPoints:
         )
         assert completed.returncode == 0
         assert "error" in completed.stderr
+
+    def test_serve_flushes_its_listening_line_through_a_pipe(self):
+        """A supervisor reading ``serve``'s stdout through a pipe (no
+        ``-u``, no ``PYTHONUNBUFFERED``) must see the address at once."""
+        from repro.server.client import ServerClient
+
+        env = dict(os.environ)
+        env.pop("PYTHONUNBUFFERED", None)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            env=env,
+        )
+        lines = []
+        reader = threading.Thread(
+            target=lambda: lines.append(process.stdout.readline()), daemon=True
+        )
+        try:
+            reader.start()
+            reader.join(timeout=30)
+            assert lines, "no listening line arrived through the pipe"
+            match = re.search(r"listening on ([\d.]+):(\d+)", lines[0])
+            assert match, lines[0]
+            with ServerClient(match.group(1), int(match.group(2))) as client:
+                assert client.ping() == 0  # an empty database
+        finally:
+            process.send_signal(signal.SIGINT)
+            try:
+                process.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                process.kill()
+                process.wait()
+            process.stdout.close()
 
     def test_stdin_pipe(self):
         completed = subprocess.run(

@@ -20,10 +20,16 @@ observable through results.  Three layers of evidence:
 
 Plus wiring smoke: engine selection on sessions/transactions, the
 query cache, EXPLAIN ANALYZE labels, the parallel scheduler, and the
-CLI ``.engine`` meta-command.
+CLI ``.engine`` meta-command; and the kernel memo: kernels that differ
+only in their constants share code but never constants, also under
+concurrent planning and behind the query server (which runs this
+engine by default).
 """
 
 import io
+import random
+import threading
+from collections import Counter
 from decimal import Decimal
 
 import pytest
@@ -44,7 +50,7 @@ from repro.algebra import (
 )
 from repro.algebra.base import as_attr_list
 from repro.database import Database
-from repro.domains import INTEGER, MONEY, REAL, STRING
+from repro.domains import BOOLEAN, INTEGER, MONEY, REAL, STRING
 from repro.engine import evaluate, execute, make_scheduler
 from repro.engine.vector import (
     VFilterOp,
@@ -53,14 +59,28 @@ from repro.engine.vector import (
     collect_batches,
     plan_vector,
 )
-from repro.errors import DivisionByZeroError, EmptyAggregateError
-from repro.expressions import Neg, col, lit
-from repro.expressions.compile import compile_row
+from repro.errors import (
+    DivisionByZeroError,
+    EmptyAggregateError,
+    UnboundAttributeError,
+)
+from repro.expressions import Compare, Neg, col, lit
+from repro.expressions.compile import (
+    compile_filter_kernel,
+    compile_filter_kernel_rows,
+    compile_map_kernel,
+    compile_map_kernel_rows,
+    compile_row,
+)
 from repro.language import Session
 from repro.optimizer import optimize
 from repro.relation import Relation
 from repro.schema import RelationSchema
+from repro.server import ServerConfig, serve_in_background
+from repro.server.client import ServerClient
 from repro.testing import ExpressionGenerator, random_environment
+from repro.workloads import BeerWorkload
+from repro.xra.parser import parse_script
 
 SEEDS = list(range(40))
 
@@ -325,3 +345,182 @@ class TestEngineWiring:
         assert "engine: vector" in out.getvalue()
         assert "tuple(s)" in out.getvalue()
         assert not err.getvalue()
+
+
+class TestKernelMemo:
+    """Constants are lifted out of kernel source; code is keyed by shape.
+
+    Kernels that differ only in their constants share one code object
+    from the memo but each runs in its own scope, so sharing code must
+    never mean sharing constants, error routing, or answers.
+    """
+
+    SCHEMA = RelationSchema("r", [("a", INTEGER), ("b", INTEGER)])
+    COLUMNS = ([4, 0, -7, 6, 2], [2, 3, 5, -2, 2])
+    ROWS = list(zip(*COLUMNS))
+
+    def test_filters_differing_in_constants_share_code(self):
+        kernels = {
+            bound: compile_filter_kernel(col(1).gt(lit(bound)), self.SCHEMA)
+            for bound in (-1, 1, 5)
+        }
+        row_kernels = {
+            bound: compile_filter_kernel_rows(col(1).gt(lit(bound)), self.SCHEMA)
+            for bound in (-1, 1, 5)
+        }
+        assert len({kernel.__code__ for kernel in kernels.values()}) == 1
+        assert len({kernel.__code__ for kernel in row_kernels.values()}) == 1
+        for _ in range(2):  # interleaved: no kernel sees another's bound
+            for bound in (5, -1, 1):
+                expected = [i for i, row in enumerate(self.ROWS) if row[0] > bound]
+                assert list(kernels[bound](self.COLUMNS, 5)) == expected
+                assert list(row_kernels[bound](self.ROWS, 5)) == expected
+
+    def test_maps_differing_in_constants_share_code(self):
+        offsets = (1, 10, -3)
+        kernels = [
+            compile_map_kernel([col(1) * lit(k) + col(2), lit(k)], self.SCHEMA)
+            for k in offsets
+        ]
+        row_kernels = [
+            compile_map_kernel_rows([col(1) * lit(k) + col(2)], self.SCHEMA)
+            for k in offsets
+        ]
+        assert kernels[0].__code__ is kernels[1].__code__ is kernels[2].__code__
+        assert row_kernels[0].__code__ is row_kernels[2].__code__
+        for k, kernel, row_kernel in reversed(list(zip(offsets, kernels, row_kernels))):
+            computed, constant = kernel(self.COLUMNS, 5)
+            assert computed == [a * k + b for a, b in self.ROWS]
+            assert constant == [k] * 5
+            assert row_kernel(self.ROWS, 5) == [(a * k + b,) for a, b in self.ROWS]
+
+    @pytest.mark.parametrize(
+        "domain, values, constant",
+        [
+            (STRING, ["O'Brien", 'say "hi"', "back\\slash", "x"], "O'Brien"),
+            (STRING, ["O'Brien", 'say "hi"', "back\\slash", "x"], 'say "hi"'),
+            (STRING, ["O'Brien", 'say "hi"', "back\\slash", "x"], "back\\slash"),
+            (BOOLEAN, [True, False, True], True),
+            (BOOLEAN, [True, False, True], False),
+            (REAL, [1.5, -2.0, float("inf"), float("-inf")], float("inf")),
+            (REAL, [1.5, -2.0, float("inf"), float("-inf")], float("-inf")),
+            (REAL, [1.5, -2.0, float("inf")], float("nan")),
+            (MONEY, [Decimal("1.10"), Decimal("2.35")], Decimal("2.00")),
+        ],
+        ids=repr,
+    )
+    def test_edge_constants_stay_right(self, domain, values, constant):
+        schema = RelationSchema("e", [("v", domain)])
+        rows = [(value,) for value in values]
+        n = len(rows)
+        ops = ("=", "<>") if domain in (STRING, BOOLEAN) else ("=", "<>", "<", ">=")
+        for op in ops:
+            expr = Compare(op, col(1), lit(constant))
+            interpreted = expr.bind(schema)
+            expected = [i for i, row in enumerate(rows) if interpreted(row)]
+            assert list(compile_filter_kernel(expr, schema)((values,), n)) == expected
+            assert list(compile_filter_kernel_rows(expr, schema)(rows, n)) == expected
+            compiled = compile_row(expr, schema)
+            assert [compiled(row) for row in rows] == [interpreted(row) for row in rows]
+        # The constant itself survives lifting (repr, because NaN != NaN).
+        mapped = compile_map_kernel_rows([lit(constant)], schema)(rows, n)
+        assert [repr(value) for (value,) in mapped] == [repr(lit(constant).value)] * n
+
+    def test_memo_hit_kernel_still_raises_division_by_zero(self):
+        safe = compile_map_kernel([col(1) / lit(2)], self.SCHEMA)
+        unsafe = compile_map_kernel([col(1) / lit(0)], self.SCHEMA)
+        assert safe.__code__ is unsafe.__code__
+        assert safe(self.COLUMNS, 5) == ([a / 2 for a, _ in self.ROWS],)
+        with pytest.raises(DivisionByZeroError):
+            unsafe(self.COLUMNS, 5)
+        row_safe = compile_row(col(2) / lit(4), self.SCHEMA)
+        row_unsafe = compile_row(col(2) / lit(0), self.SCHEMA)
+        assert row_safe.__code__ is row_unsafe.__code__
+        assert row_safe((1, 2)) == 0.5
+        with pytest.raises(DivisionByZeroError):
+            row_unsafe((1, 2))
+
+    def test_memo_hit_kernel_still_raises_unbound_attribute(self):
+        first = compile_row(col(2) + lit(1), self.SCHEMA)
+        second = compile_row(col(2) + lit(7), self.SCHEMA)
+        assert first.__code__ is second.__code__
+        assert (first((0, 1)), second((0, 1))) == (2, 8)
+        with pytest.raises(UnboundAttributeError):
+            second((0,))
+
+    def test_concurrent_planning_with_different_constants(self, env):
+        t1 = RelationRef("t1", env["t1"].schema)
+        t2 = RelationRef("t2", env["t2"].schema)
+
+        def shapes(low, high):
+            return [
+                Select(col(1).ge(lit(low)).and_(col(2).lt(lit(high))), t1),
+                ExtendedProject([col(1) * lit(high) - lit(low), col(2)], t1),
+                Project(
+                    as_attr_list([1, 4]),
+                    Select(col(2).gt(lit(low)), Join(t1, t2, col(1).eq(col(3)))),
+                ),
+                GroupBy([1], SUM, 2, Select(col(2).le(lit(high)), t1)),
+            ]
+
+        failures = []
+
+        def worker(seed):
+            try:
+                for round_ in range(6):
+                    low, high = seed % 4, 2 + (seed + round_) % 4
+                    for expr in shapes(low, high):
+                        assert execute(expr, env, engine="vector") == evaluate(
+                            expr, env
+                        ), (seed, round_, expr)
+            except BaseException as error:  # reported by the assert below
+                failures.append(error)
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not failures, failures[0]
+
+
+class TestServerDefaultsToVector:
+    """The query server plans every request on the vector engine."""
+
+    def test_default_engine_is_vector(self):
+        assert ServerConfig().engine == "vector"
+
+    def test_served_examples_agree_with_the_evaluator(self):
+        database = BeerWorkload(beers=300, breweries=20).database()
+        rng = random.Random(1994)
+        handle = serve_in_background(database, ServerConfig())
+        try:
+            with ServerClient(*handle.address) as client:
+                for _ in range(6):
+                    low = round(rng.uniform(0.5, 8.5), 2)
+                    high = round(low + rng.uniform(2.95, 3.05), 2)
+                    country = rng.choice(["Netherlands", "Belgium", "Germany"])
+                    for text in (
+                        f"proj[%1](sel[%6 = '{country}' and %3 > {low} "
+                        f"and %3 < {high}](join[%2 = %4](beer, brewery)))",
+                        f"groupby[(country), AVG, alcperc](sel[%3 > {low} "
+                        f"and %3 < {high}](join[%2 = %4](beer, brewery)))",
+                    ):
+                        (served,) = client.xra(f"? {text};")
+                        (item,) = parse_script(f"? {text};", database.schema.get)
+                        expected = evaluate(
+                            item.statement.expression, database.snapshot()
+                        )
+                        assert _rounded(served) == _rounded(expected), text
+        finally:
+            handle.stop()
+
+
+def _rounded(relation):
+    """Pairs with floats rounded (aggregates may sum in another order)."""
+    return Counter(
+        {
+            tuple(round(v, 9) if isinstance(v, float) else v for v in row): count
+            for row, count in relation.pairs()
+        }
+    )
