@@ -11,7 +11,9 @@ module at the *repo root* (or ``$BENCH_RESULTS_DIR``), each a list of
 ``{"name", "group", "n", "seconds", ...}`` records — committed so
 successive PRs can diff the perf trajectory without scraping terminal
 output (``tools/bench_diff.py`` compares them to
-``benchmarks/baselines/``).
+``benchmarks/baselines/``).  A run that covers only some benches of a
+module merges into that module's file: its rows replace their namesakes
+(same ``fullname``) and every other row stays.
 """
 
 from __future__ import annotations
@@ -52,6 +54,18 @@ def _bench_record(bench) -> dict:
     return record
 
 
+def merge_records(existing: list, records: list) -> list:
+    """``existing`` with this run's ``records`` replacing their namesakes.
+
+    Rows are matched by ``fullname``; a replaced row keeps its place, a
+    new one is appended, and rows this run did not produce are kept.
+    """
+    fresh = {record["fullname"]: record for record in records}
+    merged = [fresh.pop(row.get("fullname"), row) for row in existing]
+    merged.extend(fresh.values())
+    return merged
+
+
 def pytest_sessionfinish(session, exitstatus):
     """Write BENCH_*.json result files, one per bench module."""
     benchmark_session = getattr(session.config, "_benchmarksession", None)
@@ -81,6 +95,9 @@ def pytest_sessionfinish(session, exitstatus):
     results_dir.mkdir(parents=True, exist_ok=True)
     for module, records in sorted(by_module.items()):
         path = results_dir / f"BENCH_{module}.json"
+        if path.exists():
+            with open(path, encoding="utf-8") as handle:
+                records = merge_records(json.load(handle), records)
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(records, handle, indent=2, sort_keys=True)
             handle.write("\n")

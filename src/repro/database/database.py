@@ -3,36 +3,44 @@
 A :class:`Database` holds one relation instance per schema in its
 database schema, plus a *logical time* counter.  Every committed
 transaction produces a single-step transition ``D^t -> D^{t+1}``; the
-database records these transitions so tests and examples can inspect the
-exact state sequence the paper's transaction semantics prescribes.
+database records the last :data:`HISTORY_WINDOW` of them, each as the
+signed per-relation deltas of :mod:`repro.database.transitions`, so
+tests and examples can inspect (and walk back) the exact state sequence
+the paper's transaction semantics prescribes while memory stays bounded
+under sustained writes.
 
 Relations are immutable values, so snapshots and rollback are cheap:
 a state is just a name->relation dict copy.
 
 Besides the global logical time, the database keeps one *epoch* per
-relation name: a counter bumped exactly when a committed transition (or
-a direct ``set``/``create_relation``/``drop_relation``) changes that
-relation's contents.  Epochs are the invalidation clock of
-:mod:`repro.cache` — a cached result is valid while the epochs of the
-relations it read are unchanged.  An aborted transaction never reaches
+relation name: a counter bumped exactly when a committed transition's
+delta for that relation is non-empty (or on a direct
+``set``/``create_relation``/``drop_relation``).  Epochs are the
+invalidation clock of :mod:`repro.cache` — a cached result is valid
+while the epochs of the relations it read are unchanged.  An aborted transaction never reaches
 :meth:`install`, so rollback leaves every epoch at its pre-transition
 value by construction.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from types import MappingProxyType
-from typing import Dict, Iterator, Mapping, Optional
+from typing import Deque, Dict, Iterator, Mapping, Optional
 
-from repro.database.transitions import DatabaseTransition
+from repro.database.transitions import DatabaseTransition, Delta, diff_states
 from repro.errors import SchemaMismatchError, UnknownRelationError
 from repro.relation import Relation
 from repro.schema import DatabaseSchema, RelationSchema
 
-__all__ = ["Database", "DatabaseState"]
+__all__ = ["Database", "DatabaseState", "HISTORY_WINDOW"]
 
 #: A database state: an immutable name -> relation mapping.
 DatabaseState = Mapping[str, Relation]
+
+#: How many of the most recent transitions :attr:`Database.transitions`
+#: keeps; older ones are dropped as new commits arrive.
+HISTORY_WINDOW = 256
 
 
 class Database:
@@ -46,7 +54,9 @@ class Database:
             if relation_schema.name is not None
         }
         self._logical_time = 0
-        self._transitions: list[DatabaseTransition] = []
+        self._transitions: Deque[DatabaseTransition] = deque(
+            maxlen=HISTORY_WINDOW
+        )
         #: Per-relation change counters (see :meth:`epoch`).  Names are
         #: never removed: re-creating a dropped relation must not reuse
         #: an epoch a stale cache entry was tagged with.
@@ -139,36 +149,37 @@ class Database:
         """Reinstall a previously captured state (used by abort)."""
         self._relations = dict(state)
 
-    def install(self, state: DatabaseState) -> DatabaseTransition:
+    def install(
+        self,
+        state: DatabaseState,
+        deltas: Optional[Mapping[str, Delta]] = None,
+    ) -> DatabaseTransition:
         """Commit ``state`` as ``D^{t+1}`` and advance logical time.
 
-        Records and returns the single-step transition
-        ``(D^t, D^{t+1})`` per Definition 2.6.
+        ``deltas`` maps each written relation to its exact signed delta
+        from the current state to ``state`` (an
+        :class:`~repro.language.ExecutionContext` accumulates them as its
+        statements run); they are trusted, not checked.  Without them,
+        the deltas are derived by diffing the relations whose objects
+        differ.  Records and returns the
+        single-step transition ``(D^t, D^{t+1})`` per Definition 2.6, and
+        bumps the epoch of exactly the relations with a non-empty delta.
         """
-        before = self.snapshot()
-        after = dict(state)
-        transition = DatabaseTransition(
-            before, after, self._logical_time, self._logical_time + 1
+        if deltas is None:
+            deltas = diff_states(self._relations, state)
+        transition = DatabaseTransition.from_deltas(
+            deltas, self._logical_time, self._logical_time + 1
         )
-        self._relations = after
+        self._relations = dict(state)
         self._logical_time += 1
         self._transitions.append(transition)
-        # Bump the epoch of exactly the relations this transition changed
-        # (same object, or equal value, means untouched — statements copy
-        # the state dict, not the immutable relation values).
-        for name in before.keys() | after.keys():
-            old = before.get(name)
-            new = after.get(name)
-            if old is new:
-                continue
-            if old is not None and new is not None and old == new:
-                continue
+        for name in transition.deltas:
             self._bump_epoch(name)
         return transition
 
     @property
     def transitions(self) -> list[DatabaseTransition]:
-        """All committed transitions, oldest first."""
+        """The last :data:`HISTORY_WINDOW` committed transitions, oldest first."""
         return list(self._transitions)
 
     def __iter__(self) -> Iterator[str]:

@@ -6,6 +6,12 @@ outputs produced by query statements.  Statements mutate the context;
 the transaction machinery decides whether the working state ever becomes
 the next database state ``D^{t+1}`` (Definition 4.3).
 
+Every write goes through :meth:`ExecutionContext.apply`, Definition 4.1's
+common form ``R ← (R − M) ⊎ A`` with ``M ⊆ₘ R``.  It patches only the
+``|M| + |A|`` changed entries and accumulates each written base
+relation's net signed delta in :attr:`ExecutionContext.deltas`, which is
+what :meth:`~repro.database.Database.install` records at commit.
+
 The context also owns the evaluation strategy: the reference evaluator
 by default, optionally the physical engine and/or the optimizer — and,
 when a :class:`~repro.cache.QueryCache` is attached, every expression
@@ -13,6 +19,9 @@ evaluation is routed through it.  The cache decides per lookup whether
 the result level applies (it bypasses itself for temporaries and for
 working states that have diverged from the installed database state,
 which is why attaching a cache to transactional contexts is safe).
+Expressions that read no relation at all (constants, such as update's
+``π̂α`` over the matched tuples) skip the cache: an entry for them could
+never be invalidated.
 """
 
 from __future__ import annotations
@@ -20,6 +29,8 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.algebra import AlgebraExpr, LiteralRelation
+from repro.cache.fingerprint import base_relations
+from repro.database.transitions import Delta
 from repro.engine import StatisticsCatalog, evaluate, execute
 from repro.errors import DuplicateRelationError, UnknownRelationError
 from repro.relation import Relation
@@ -45,6 +56,9 @@ class ExecutionContext:
         self.relations: Dict[str, Relation] = dict(relations)
         #: Temporary relations created by assignment statements.
         self.temporaries: Dict[str, Relation] = {}
+        #: Net signed delta of each written base relation against the
+        #: state this context started from (see :meth:`apply`).
+        self.deltas: Dict[str, Delta] = {}
         #: Results of query statements, in execution order.
         self.outputs: List[Relation] = []
         self._use_physical_engine = use_physical_engine
@@ -82,13 +96,45 @@ class ExecutionContext:
         raise UnknownRelationError(name)
 
     def set_relation(self, name: str, relation: Relation) -> None:
-        """Replace an existing base or temporary relation."""
+        """Replace an existing base or temporary relation.
+
+        A base relation's replacement goes through :meth:`apply`, so its
+        delta is recorded like any statement's.
+        """
         if name in self.temporaries:
             self.temporaries[name] = relation
-        elif name in self.relations:
-            self.relations[name] = relation
         else:
-            raise UnknownRelationError(name)
+            self.apply(name, self.get_relation(name), relation)
+
+    def apply(self, name: str, removed: Relation, added: Relation) -> None:
+        """``name ← (name − removed) ⊎ added``, with ``removed ⊆ₘ name``.
+
+        Every statement of Definition 4.1 has this form: insert is
+        ``(∅, E)``, delete ``(R ∩ E, ∅)``, update ``(R ∩ E, π̂α(R ∩ E))``.
+        Only the patched entries are touched, and a base relation's net
+        signed delta is accumulated in :attr:`deltas` (temporaries have
+        none: they never reach the database).
+        """
+        current = self.get_relation(name)
+        patched = Relation.from_multiset(
+            current.schema, current.tuples.patched(removed.tuples, added.tuples)
+        )
+        if name in self.temporaries:
+            self.temporaries[name] = patched
+            return
+        self.relations[name] = patched
+        delta = self.deltas.get(name)
+        if delta is None:
+            # First write to this relation: adopt A's counts with one
+            # C-level copy, so an insert walks its tuples only once.
+            delta = self.deltas[name] = added.tuples.to_dict()
+            additions = ()
+        else:
+            additions = added.pairs()
+        for row, count in removed.pairs():
+            _shift(delta, row, -count)
+        for row, count in additions:
+            _shift(delta, row, count)
 
     def bind_temporary(self, name: str, relation: Relation) -> None:
         """Create (or rebind) a temporary relation.
@@ -143,10 +189,11 @@ class ExecutionContext:
 
     def _evaluate_direct(self, expr: AlgebraExpr) -> Relation:
         if isinstance(expr, LiteralRelation):
-            # A constant needs no optimizer, plan, or cache entry (it
-            # reads nothing, so a cached copy would never be invalidated).
+            # A constant needs no optimizer, plan, or cache entry.
             return expr.relation
-        if self.cache is not None:
+        if self.cache is not None and base_relations(expr):
+            # An expression that reads no relation skips the cache: its
+            # entries could never be invalidated.
             return self.cache.evaluate(expr, self)
         if self._optimizer is not None:
             expr = self._optimizer(expr)
@@ -160,3 +207,12 @@ class ExecutionContext:
     def statistics(self) -> StatisticsCatalog:
         """Exact statistics of the working state (for cost-based choices)."""
         return StatisticsCatalog.from_env(self.environment())
+
+
+def _shift(delta: Delta, row: object, count: int) -> None:
+    """Add ``count`` to ``delta[row]``, dropping the entry at zero."""
+    shifted = delta.get(row, 0) + count
+    if shifted:
+        delta[row] = shifted
+    else:
+        del delta[row]

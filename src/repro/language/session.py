@@ -609,7 +609,7 @@ class ActiveTransaction:
             "commit", logical_time=self._session.database.logical_time
         ):
             transition = self._session.database.install(
-                self._context.relations
+                self._context.relations, self._context.deltas
             )
         obs.add("transactions.committed")
         return TransactionResult(

@@ -13,6 +13,13 @@ Statements execute against an :class:`~repro.language.context.ExecutionContext`
 state is ever installed.  Because every statement is *defined* via the
 algebra, the implementations below literally build the defining
 expressions — there is no second update semantics to drift out of sync.
+
+The three writes share one form, ``R ← (R − M) ⊎ A`` with ``M ⊆ₘ R``:
+insert is ``M = ∅, A = E``; delete is ``M = R ∩ E, A = ∅`` (since
+``R − E = R − (R ∩ E)`` under monus); update is ``M = R ∩ E,
+A = π̂α(R ∩ E)``.  Each statement computes its ``(M, A)`` and hands it
+to :meth:`~repro.language.context.ExecutionContext.apply`, which patches
+only those tuples and records the signed delta a commit installs.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from repro.algebra import (
 from repro.algebra.base import ConditionLike, as_condition
 from repro.errors import SchemaMismatchError
 from repro.language.context import ExecutionContext
+from repro.relation import Relation
 
 __all__ = ["Statement", "Insert", "Delete", "Update", "Assign", "Query"]
 
@@ -52,7 +60,7 @@ class Insert(Statement):
             raise SchemaMismatchError(
                 current.schema, addition.schema, f"insert into {self.target!r}"
             )
-        context.set_relation(self.target, current.union(addition))
+        context.apply(self.target, Relation.empty(current.schema), addition)
 
     def __repr__(self) -> str:
         return f"insert({self.target}, {self.expression!r})"
@@ -72,7 +80,11 @@ class Delete(Statement):
             raise SchemaMismatchError(
                 current.schema, removal.schema, f"delete from {self.target!r}"
             )
-        context.set_relation(self.target, current.difference(removal))
+        context.apply(
+            self.target,
+            current.intersection(removal),
+            Relation.empty(current.schema),
+        )
 
     def __repr__(self) -> str:
         return f"delete({self.target}, {self.expression!r})"
@@ -124,10 +136,7 @@ class Update(Statement):
                 rewritten_expr.schema,
                 f"update {self.target!r} attribute expression list",
             )
-        rewritten = context.evaluate(rewritten_expr)
-        context.set_relation(
-            self.target, current.difference(selector).union(rewritten)
-        )
+        context.apply(self.target, matched, context.evaluate(rewritten_expr))
 
     def __repr__(self) -> str:
         entries = ", ".join(repr(entry) for entry in self.assignments)

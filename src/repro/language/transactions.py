@@ -140,7 +140,9 @@ class Transaction:
                 raise
             # Commit: the end bracket drops temporaries and installs D^{t+1}.
             with obs.span("commit"):
-                transition = database.install(context.relations)
+                transition = database.install(
+                    context.relations, context.deltas
+                )
             span.set(outcome="commit", committed_time=database.logical_time)
             obs.add("transactions.committed")
         return TransactionResult(

@@ -260,6 +260,40 @@ class Multiset(Generic[T]):
     def __or__(self, other: "Multiset[T]") -> "Multiset[T]":
         return self.max_union(other)
 
+    # -- patching (the statement form R ← (R − M) ⊎ A of Definition 4.1) --------
+
+    def patched(
+        self, removed: "Multiset[T]", added: "Multiset[T]"
+    ) -> "Multiset[T]":
+        """``(self − removed) ⊎ added`` for ``removed ⊆ₘ self``.
+
+        Copies this multiset's counts at C speed and then touches only
+        the ``|removed| + |added|`` patched entries, so a small change to
+        a large bag costs the size of the change, not of the bag.
+        Raises :class:`ValueError` when ``removed`` is not a multi-subset.
+        """
+        counts = dict(self._counts)
+        size = self._size
+        for element, count in removed._counts.items():
+            remaining = counts.get(element, 0) - count
+            if remaining > 0:
+                counts[element] = remaining
+            elif remaining == 0:
+                del counts[element]
+            else:
+                raise ValueError(
+                    f"cannot remove {count} of {element!r}: "
+                    f"only {count + remaining} present"
+                )
+            size -= count
+        for element, count in added._counts.items():
+            counts[element] = counts.get(element, 0) + count
+            size += count
+        instance = Multiset.__new__(Multiset)
+        instance._counts = counts
+        instance._size = size
+        return instance
+
     # -- duplicate elimination (Definition 3.4's delta) --------------------------
 
     def distinct(self) -> "Multiset[T]":

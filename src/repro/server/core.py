@@ -746,7 +746,9 @@ class QueryServer:
                         self.constraints, context.relations
                     )
                     with self._install_guard():
-                        self.database.install(context.relations)
+                        self.database.install(
+                            context.relations, context.deltas
+                        )
                     obs.add(
                         "server.transactions.committed",
                         client=session.client_id,
@@ -834,8 +836,14 @@ class QueryServer:
                         client=session.client_id,
                     )
                     raise
+                # The conflict check just proved every written relation
+                # unchanged since begin, so the transaction's deltas
+                # (taken against its pinned state) hold against this one.
+                deltas = {
+                    name: txn.context.deltas.get(name, {}) for name in written
+                }
                 with self._install_guard():
-                    self.database.install(merged)
+                    self.database.install(merged, deltas)
             session.txn = None
             obs.add(
                 "server.transactions.committed", client=session.client_id

@@ -195,6 +195,22 @@ class TestQueryCache:
         assert (cache.plan_entries, len(cache)) == (plans, results)
         assert cache.stats.as_dict() == lookups
 
+    def test_updates_add_no_entry_with_an_empty_read_set(self, env):
+        # update's π̂α runs over a literal of the matched tuples; it reads
+        # no relation, so a cache entry for it could never be invalidated.
+        database = make_database(env)
+        cache = QueryCache()
+        session = Session(database, cache=cache)
+        for value in range(50):
+            session.update(
+                "t1",
+                session.relation("t1").select(f"%1 = {value % 5}"),
+                ["%1", f"%2 + {value + 1}"],
+            )
+        assert cache.plan_entries > 0
+        assert all(entry.deps for entry in cache._plans.values())
+        assert all(result.deps for result in cache._results.values())
+
     def test_temporaries_bypass_the_result_cache(self, env):
         database = make_database(env)
         cache = QueryCache()

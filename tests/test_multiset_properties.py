@@ -5,6 +5,7 @@ container level; hypothesis explores the multiplicity space far beyond
 the hand-written cases.
 """
 
+import pytest
 from hypothesis import given
 
 from repro.multiset import Multiset
@@ -183,3 +184,18 @@ class TestOrderingLaws:
     @given(int_bags, int_bags)
     def test_difference_then_check(self, a, b):
         assert a.difference(b) <= a
+
+
+class TestPatchLaws:
+    @given(int_bags, int_bags, int_bags)
+    def test_patch_is_monus_then_union(self, a, b, c):
+        # Definition 4.1's statement form: (R − M) ⊎ A with M = R ∩ E,
+        # and R − (R ∩ E) = R − E under monus.
+        patched = a.patched(a.intersection(b), c)
+        assert patched == a.difference(b).union(c)
+        assert len(patched) == len(a.difference(b)) + len(c)
+
+    @given(int_bags)
+    def test_patch_rejects_a_non_submultiset(self, a):
+        with pytest.raises(ValueError):
+            a.patched(a.union(Multiset([0])), Multiset.empty())

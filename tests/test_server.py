@@ -160,6 +160,36 @@ def test_write_conflict_first_committer_wins(server) -> None:
         assert len(result) == 5
 
 
+def test_net_zero_commit_keeps_the_epoch_and_concurrent_writes(server) -> None:
+    """An update and its inverse inside one bracket commit a transition
+    (logical time moves) whose delta is empty, so the written relation's
+    epoch stays put and its cached reads keep hitting; a commit to
+    another relation in the meantime survives the merge."""
+    database = server.server.database
+    cache = server.server.cache
+    with connect(server) as client, connect(server) as other:
+        client.xra("create side(n: integer);")
+        query = "? sel[%2 > 0](acct);"
+        (cold,) = client.xra(query)
+        epoch = database.epoch("acct")
+        pinned = client.begin()
+        client.xra("update(acct, sel[owner = 'alice'](acct), (%1, %2 + 5));")
+        other.xra("insert(side, tuples[(1)]);")
+        client.xra("update(acct, sel[owner = 'alice'](acct), (%1, %2 - 5));")
+        response = client.commit()
+        assert response["committed"] is True
+        assert response["relations"] == ["acct"]
+        assert response["logical_time"] == pinned + 2
+        assert database.logical_time == pinned + 2
+        assert database.epoch("acct") == epoch
+        hits = cache.stats.result_hits
+        (warm,) = client.xra(query)
+        assert warm == cold
+        assert cache.stats.result_hits == hits + 1
+        (side,) = client.xra("? side;")
+        assert sorted(side.pairs()) == [((1,), 1)]
+
+
 def test_rollback_discards_the_working_state(server) -> None:
     with connect(server) as client:
         client.begin()
